@@ -2,8 +2,9 @@
 //! emitting `BENCH_overlap.json` — one row per worldgen tier.
 //!
 //! Per tier the binary builds the quantized warm substrate, then times
-//! two waves through [`greca_core::run_batch_with`], planner **off**
-//! (the independent path) vs planner **on**:
+//! two waves planner **off** — every query through its own
+//! [`GroupQuery::run`], over the worker count [`greca_core::run_batch`]
+//! uses — vs planner **on** ([`greca_core::run_batch`]):
 //!
 //! * **high overlap** — `WAVE_GROUPS` chained groups sharing ~80 % of
 //!   consecutive membership, each repeated `REPEATS` times (the
@@ -37,12 +38,13 @@
 
 use greca_bench::harness::{banner, print_row};
 use greca_core::{
-    run_batch_with, BatchResult, BuildOptions, GrecaEngine, GroupQuery, PlanOptions,
-    ScoreCompression, Substrate,
+    run_batch, AccessStats, BatchResult, BuildOptions, GrecaEngine, GroupQuery, QueryError,
+    ScoreCompression, Substrate, TopKResult,
 };
 use greca_dataset::{Group, ItemId, UserId};
 use greca_worldgen::{GenWorld, Tier, DEFAULT_SEED};
 use std::io::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,8 +80,8 @@ struct Row {
 }
 
 impl Row {
-    /// The row as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The row as a JSON object (hand-formatted: the
+    /// workspace has no serialization dependency).
     fn to_json(&self) -> String {
         format!(
             concat!(
@@ -109,22 +111,63 @@ impl Row {
     }
 }
 
-/// Minimum wall time (ms) for the wave over [`ROUNDS`] rounds.
-fn time_wave(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> f64 {
+type Results = Vec<Result<TopKResult, QueryError>>;
+
+/// The planner-off baseline: every query through its own
+/// [`GroupQuery::run`] over `min(available_parallelism, #queries)`
+/// scoped threads fed by one atomic work queue — the worker count and
+/// scheduling of [`run_batch`], minus the planner.
+fn run_independent(queries: &[GroupQuery<'_>]) -> Results {
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(queries.len().max(1));
+    let next = AtomicUsize::new(0);
+    let mut ran: Vec<(usize, Result<TopKResult, QueryError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(q) = queries.get(i) else { break };
+                        out.push((i, q.run()));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("baseline worker panicked"))
+            .collect()
+    });
+    ran.sort_by_key(|&(i, _)| i);
+    ran.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Minimum wall time (ms) of `run` over [`ROUNDS`] rounds.
+fn time_wave<T>(mut run: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        let batch = run_batch_with(queries, opts);
+        let out = run();
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(batch);
+        std::hint::black_box(out);
         best = best.min(ms);
     }
     best
 }
 
 /// Full wave equality: per-query results and summed stats.
-fn waves_identical(off: &BatchResult, on: &BatchResult) -> bool {
-    off.results == on.results && off.stats == on.stats
+fn waves_identical(off: &Results, on: &BatchResult) -> bool {
+    let mut stats = AccessStats::default();
+    for r in off.iter().flatten() {
+        stats.sa += r.stats.sa;
+        stats.ra += r.stats.ra;
+        stats.total_entries += r.stats.total_entries;
+    }
+    *off == on.results && stats == on.stats
 }
 
 fn measure(tier: Tier) -> Row {
@@ -178,15 +221,12 @@ fn measure(tier: Tier) -> Row {
         .map(|g| engine.query(g).items(&subset).period(last_period).top(10))
         .collect();
 
-    let off = PlanOptions { enabled: false };
-    let on = PlanOptions { enabled: true };
-
     // Identity first (also warms the substrate's lazy state so the
     // timed rounds compare steady-state execution).
-    let high_off = run_batch_with(&high, &off);
-    let high_on = run_batch_with(&high, &on);
-    let zero_off = run_batch_with(&zero, &off);
-    let zero_on = run_batch_with(&zero, &on);
+    let high_off = run_independent(&high);
+    let high_on = run_batch(&high);
+    let zero_off = run_independent(&zero);
+    let zero_on = run_batch(&zero);
     let identical = waves_identical(&high_off, &high_on) && waves_identical(&zero_off, &zero_on);
     let plan = high_on.plan.expect("analyzed wave reports stats");
     assert!(plan.executed_shared, "high-overlap wave must share");
@@ -206,16 +246,16 @@ fn measure(tier: Tier) -> Row {
         ),
     );
 
-    let off_high_ms = time_wave(&high, &off);
-    let on_high_ms = time_wave(&high, &on);
+    let off_high_ms = time_wave(|| run_independent(&high));
+    let on_high_ms = time_wave(|| run_batch(&high));
     let speedup_high = off_high_ms / on_high_ms.max(1e-9);
     print_row(
         "high overlap off vs on",
         format!("{off_high_ms:9.2} ms vs {on_high_ms:9.2} ms  ({speedup_high:.2}×)"),
     );
 
-    let off_zero_ms = time_wave(&zero, &off);
-    let on_zero_ms = time_wave(&zero, &on);
+    let off_zero_ms = time_wave(|| run_independent(&zero));
+    let on_zero_ms = time_wave(|| run_batch(&zero));
     let ratio_zero = on_zero_ms / off_zero_ms.max(1e-9);
     print_row(
         "zero overlap off vs on",

@@ -19,12 +19,13 @@
 //! 3. **Survival** — a fresh server warms a pool of overlapping
 //!    groups, then one ingest publishes an epoch swap whose dirty set
 //!    is *disjoint* from every warm footprint. Re-querying measures
-//!    the post-swap hit rate twice: once under the default selective
-//!    invalidation (disjoint entries survive, re-stamped to the new
-//!    epoch) and once against a wholesale-invalidation baseline
-//!    (`selective_invalidation: false`, everything dropped). Every
-//!    surviving answer is bit-compared against a direct engine run at
-//!    the new epoch.
+//!    the post-swap hit rate under the server's selective invalidation
+//!    (disjoint entries survive, re-stamped to the new epoch). The
+//!    wholesale-invalidation baseline is computed beside it: the warm
+//!    keys go into a bare `ResultCache`, `invalidate_to(new epoch)`
+//!    drops everything, and the re-queries that would still hit are
+//!    counted. Every surviving answer is bit-compared against a direct
+//!    engine run at the new epoch.
 //! 4. **Subscriptions** — a client `subscribe`s a continuous group
 //!    query, then streams rating ingests that touch the group. The
 //!    pushed delta frames must carry strictly increasing epochs (zero
@@ -60,7 +61,7 @@ use greca_bench::harness::{banner, print_row};
 use greca_bench::{PerfSettings, PerfWorld};
 use greca_core::{LiveEngine, LiveModel};
 use greca_dataset::{Group, ItemId, RatingMatrix, UserId};
-use greca_serve::{Client, GrecaServer, Json, ServeConfig};
+use greca_serve::{Client, GrecaServer, Json, ResultCache, ServeConfig};
 use greca_worldgen::{GenWorld, Tier};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -273,11 +274,12 @@ fn chained_groups(users: &[UserId], n: usize, size: usize, overlap: f64, seed: u
     groups
 }
 
-/// What one survival-phase run (one server, one invalidation policy)
-/// measured.
+/// What the survival phase measured.
 struct SurvivalOutcome {
     /// Post-swap re-queries answered from cache.
     hits: usize,
+    /// Re-queries a wholesale-invalidated cache would have answered.
+    wholesale_hits: usize,
     /// Re-queries issued (one per warm group).
     total: usize,
     /// `cache.survivors` as reported by the server's `stats` verb.
@@ -290,21 +292,22 @@ struct SurvivalOutcome {
 }
 
 impl SurvivalOutcome {
-    fn hit_rate(&self) -> f64 {
+    fn rate(&self, hits: usize) -> f64 {
         if self.total == 0 {
             0.0
         } else {
-            self.hits as f64 / self.total as f64
+            hits as f64 / self.total as f64
         }
     }
 }
 
-/// Phase 3 (one policy): warm `groups` into a fresh server's cache,
-/// publish one epoch swap whose dirty set is disjoint from every warm
-/// footprint, and re-query. Under selective invalidation the warm
-/// entries survive the swap as hits at the new epoch; the wholesale
-/// baseline drops everything. Every post-swap answer is bit-compared
-/// against direct engine execution at the new epoch.
+/// Phase 3: warm `groups` into a fresh server's cache, publish one
+/// epoch swap whose dirty set is disjoint from every warm footprint,
+/// and re-query. Under the server's selective invalidation the warm
+/// entries survive the swap as hits at the new epoch. The wholesale
+/// baseline replays the same warm keys through a bare [`ResultCache`]
+/// that `invalidate_to` empties at the swap. Every post-swap answer is
+/// bit-compared against direct engine execution at the new epoch.
 fn survival_phase(
     live: &LiveEngine,
     groups: &[Group],
@@ -312,12 +315,10 @@ fn survival_phase(
     item: ItemId,
     k: usize,
     world_label: &str,
-    selective: bool,
 ) -> SurvivalOutcome {
     let server = GrecaServer::bind(
         live,
         ServeConfig {
-            selective_invalidation: selective,
             world_label: world_label.to_string(),
             ..ServeConfig::default()
         },
@@ -335,6 +336,24 @@ fn survival_phase(
                 "warm query must succeed"
             );
         }
+        let warm_pin = live.pin();
+        let warm_engine = warm_pin.engine();
+        let baseline = ResultCache::new(ServeConfig::default().cache_capacity);
+        let keys: Vec<_> = groups
+            .iter()
+            .map(|group| {
+                let query = warm_engine.query(group).top(k);
+                let result = query.run().expect("direct warm run");
+                let key = query.cache_key();
+                baseline.install(
+                    warm_pin.epoch(),
+                    key.clone(),
+                    key.footprint(),
+                    std::sync::Arc::new(result),
+                );
+                key
+            })
+            .collect();
         // One rating from a user outside every warm group: the
         // published dirty set is disjoint from every cached footprint.
         client
@@ -342,6 +361,11 @@ fn survival_phase(
             .expect("swap ingest");
         let pin = live.pin();
         let engine = pin.engine();
+        baseline.invalidate_to(pin.epoch());
+        let wholesale_hits = keys
+            .iter()
+            .filter(|key| baseline.try_get(pin.epoch(), key).is_some())
+            .count();
         let (mut hits, mut identical) = (0usize, true);
         for group in groups {
             let served = client.request(&query_body(group, k)).expect("re-query");
@@ -359,6 +383,7 @@ fn survival_phase(
         let cache = stats.get("cache").expect("stats.cache");
         let outcome = SurvivalOutcome {
             hits,
+            wholesale_hits,
             total: groups.len(),
             survivors: cache.get("survivors").and_then(Json::as_u64).unwrap_or(0),
             survival_rate: cache
@@ -692,40 +717,26 @@ fn main() {
         .copied()
         .find(|u| !member_union.contains(u))
         .expect("a user outside every survival group");
-    let surv_selective = survival_phase(
+    let surv = survival_phase(
         &live,
         &survival_groups,
         disjoint_user,
         items[0],
         k,
         &world_label,
-        true,
-    );
-    let surv_wholesale = survival_phase(
-        &live,
-        &survival_groups,
-        disjoint_user,
-        items[0],
-        k,
-        &world_label,
-        false,
     );
     print_row(
         "post-swap hits (selective vs wholesale)",
         format!(
             "{}/{} vs {}/{}",
-            surv_selective.hits, surv_selective.total, surv_wholesale.hits, surv_wholesale.total
+            surv.hits, surv.total, surv.wholesale_hits, surv.total
         ),
     );
     print_row(
         "survivors / survival rate",
-        format!(
-            "{} / {:.1}%",
-            surv_selective.survivors,
-            surv_selective.survival_rate * 100.0
-        ),
+        format!("{} / {:.1}%", surv.survivors, surv.survival_rate * 100.0),
     );
-    print_row("survivors identical", surv_selective.identical);
+    print_row("survivors identical", surv.identical);
 
     // ── Phase 4: continuous queries over the push stream ────────────
     banner("subscriptions: push stream under streaming ingests");
@@ -848,12 +859,12 @@ fn main() {
         hp50 = hit_p50,
         mp50 = miss_p50,
         speedup = hit_speedup,
-        sgroups = surv_selective.total,
-        srate = surv_selective.hit_rate(),
-        wrate = surv_wholesale.hit_rate(),
-        survivors = surv_selective.survivors,
-        survrate = surv_selective.survival_rate,
-        sident = surv_selective.identical,
+        sgroups = surv.total,
+        srate = surv.rate(surv.hits),
+        wrate = surv.rate(surv.wholesale_hits),
+        survivors = surv.survivors,
+        survrate = surv.survival_rate,
+        sident = surv.identical,
         pushes = subs.pushes,
         stale = subs.stale,
         convergent = subs.convergent,
@@ -889,14 +900,14 @@ fn main() {
         "no protocol errors under the mixed workload"
     );
     assert!(
-        surv_selective.identical && surv_wholesale.identical,
+        surv.identical,
         "post-swap answers (survivors included) must equal direct execution at the new epoch"
     );
     assert!(
-        surv_selective.hits >= 1 && surv_selective.hits >= 2 * surv_wholesale.hits,
+        surv.hits >= 1 && surv.hits >= 2 * surv.wholesale_hits,
         "selective post-swap hit rate ({:.2}) must be at least 2x the wholesale baseline ({:.2})",
-        surv_selective.hit_rate(),
-        surv_wholesale.hit_rate()
+        surv.rate(surv.hits),
+        surv.rate(surv.wholesale_hits)
     );
     assert_eq!(subs.stale, 0, "push epochs must strictly increase");
     assert!(

@@ -83,8 +83,8 @@ struct Row {
 }
 
 impl Row {
-    /// The row as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The row as a JSON object (hand-formatted: the
+    /// workspace has no serialization dependency).
     fn to_json(&self) -> String {
         format!(
             concat!(

@@ -45,10 +45,10 @@
 //! let pop = PopulationAffinity::build(&SocialAffinitySource::new(&net), &universe, &tl);
 //!
 //! // A warm engine precomputes the shared Substrate once (per-user
-//! // sorted preference columns + per-period sorted affinity arrays);
-//! // queries serve zero-copy views with the paper's defaults baked in
-//! // (k = 10, AP consensus, discrete affinity, decomposed lists) and
-//! // the itemset defaulting to the group's candidate items.
+//! // sorted preference columns); queries serve zero-copy views with
+//! // the paper's defaults baked in (k = 10, AP consensus, discrete
+//! // affinity, decomposed lists) and the itemset defaulting to the
+//! // group's candidate items.
 //! let catalog: Vec<ItemId> = ml.matrix.items().collect();
 //! let engine = GrecaEngine::warm(&cf, &pop, &catalog).unwrap();
 //! let group = Group::new(vec![UserId(0), UserId(1), UserId(2)]).unwrap();
@@ -93,7 +93,7 @@ pub use obs::{
     CacheNote, FlightRecorder, ObsTotals, Phase, SpanGuard, SpanKind, SpanRecord, TraceFilter,
     NUM_KINDS, NUM_PHASES,
 };
-pub use plan::{run_batch_with, PlanOptions, PlanStats, SharedMemberState};
+pub use plan::{PlanStats, SharedMemberState};
 pub use query::{
     run_batch, Algorithm, BatchResult, GrecaEngine, GroupQuery, PreparedQuery, QueryError,
     QueryFootprint, QueryKey, PAPER_DEFAULT_K,

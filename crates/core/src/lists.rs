@@ -20,13 +20,19 @@
 //! The algorithms (`greca`, `ta`, `naive`) never touch owned storage:
 //! they execute over [`GrecaInputs`], a bundle of [`ListView`]s —
 //! borrowed, columnar `(ids, scores)` slices with no lifecycle of their
-//! own. Two storage shapes produce those views:
+//! own. Two storage shapes back those views:
 //!
-//! * [`SortedList`] / [`MaterializedInputs`] — per-query owned columnar
-//!   buffers, built by sorting (the cold path, and the hand-built-table
-//!   path of the running example);
-//! * [`crate::substrate::Substrate`] — engine-lifetime shared buffers,
-//!   precomputed once and sliced zero-copy per query (the warm path).
+//! * [`SortedList`] — owned columnar buffers, built by sorting (cold
+//!   preference lists, subset-filtered warm lists, and every affinity
+//!   list);
+//! * [`crate::substrate::Substrate`] — engine-lifetime shared
+//!   preference segments, precomputed once and sliced zero-copy per
+//!   query (the warm path).
+//!
+//! A prepared query holds one mix of both and assembles its views in
+//! one place (`PreparedInputs` in [`crate::query`]).
+//! [`MaterializedInputs`] is the all-owned bundle the kernel-identity
+//! tests use as their reference.
 //!
 //! Keeping views slice-backed is what makes the warm path *zero-copy*:
 //! a full-universe query's preference "lists" are literally the
@@ -35,10 +41,9 @@
 
 use greca_affinity::GroupAffinity;
 use greca_cf::PreferenceList;
-use serde::{Deserialize, Serialize};
 
 /// What a list contains (and thus what its entry ids mean).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ListKind {
     /// `PL_u` of the member at this index; entry ids are item ids.
     Preference {
@@ -147,7 +152,7 @@ impl<'a> ListView<'a> {
 
 /// One sorted, sequentially-accessed input list — the *owned* columnar
 /// storage behind a [`ListView`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortedList {
     /// What the entries mean.
     pub kind: ListKind,
@@ -183,7 +188,7 @@ impl SortedList {
 
     /// Adopt columns that are **already** sorted descending with ties by
     /// id — the zero-sort path for entries whose order was established
-    /// elsewhere (a substrate segment filter, a rank-ordered selection).
+    /// elsewhere (a substrate segment filter).
     pub fn from_sorted_columns(kind: ListKind, ids: Vec<u32>, scores: Vec<f64>) -> Self {
         assert_eq!(ids.len(), scores.len(), "columns must align");
         debug_assert!(
@@ -227,7 +232,7 @@ impl SortedList {
 }
 
 /// A read cursor over one list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cursor {
     /// Next entry index to read.
     pub pos: usize,
@@ -239,7 +244,7 @@ pub struct Cursor {
 
 /// How affinity lists are laid out (§3.1 discusses both; the decomposed
 /// layout "allows us to design efficient algorithms").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ListLayout {
     /// `n−1` lists per affinity kind, the i-th holding user u_i's pairs.
     #[default]
@@ -256,8 +261,8 @@ const NO_LIST: u32 = u32::MAX;
 ///
 /// This is what [`crate::greca::greca_topk`], [`crate::ta::ta_topk`] and
 /// [`crate::naive::naive_topk`] consume. It borrows from whichever
-/// storage backs the query — per-query [`MaterializedInputs`] or the
-/// engine's shared [`crate::substrate::Substrate`] — and costs only the
+/// storage backs the query — owned [`SortedList`]s or the engine's
+/// shared [`crate::substrate::Substrate`] — and costs only the
 /// view vectors (plus two tiny pair-membership tables) to assemble.
 ///
 /// Construct via [`GrecaInputs::assemble`], which derives the
@@ -380,13 +385,14 @@ impl<'a> GrecaInputs<'a> {
     }
 }
 
-/// Per-query owned list storage (the *cold* path): every list sorted
-/// and buffered for this query alone.
+/// All-owned list storage: every list sorted and buffered for one
+/// query alone — the reference bundle the kernel-identity tests run
+/// the algorithms over. Engine preparations use `PreparedInputs` in
+/// [`crate::query`], which builds the same lists.
 ///
 /// [`MaterializedInputs::views`] hands the algorithms their
-/// [`GrecaInputs`]. The warm path never builds this type — see
-/// [`crate::substrate::Substrate`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// [`GrecaInputs`].
+#[derive(Debug, Clone)]
 pub struct MaterializedInputs {
     /// Preference lists, one per member (member order = group order).
     pub pref_lists: Vec<SortedList>,
@@ -465,7 +471,7 @@ impl MaterializedInputs {
 
 /// Both affinity list sets (static + per-period) for one group view —
 /// the mode-gated assembly shared by [`MaterializedInputs::build`] and
-/// the cross-query shared-state preparation path in `crate::query`.
+/// every query preparation in `crate::query`, warm or cold.
 pub(crate) fn group_affinity_list_sets(
     affinity: &GroupAffinity,
     layout: ListLayout,
@@ -497,7 +503,7 @@ pub(crate) fn group_affinity_list_sets(
 
 /// Build one affinity kind's lists from a group view's components,
 /// sorting each list (tiny: ≤ n−1 entries each).
-pub(crate) fn build_affinity_lists(
+fn build_affinity_lists(
     affinity: &GroupAffinity,
     layout: ListLayout,
     kind: ListKind,

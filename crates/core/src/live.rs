@@ -12,7 +12,7 @@
 //! * publishing a batch computes its *dirty set* (`greca-cf`'s
 //!   `DeltaBatch::dirty_set`), rebuilds only the invalidated preference
 //!   segments via [`Substrate::rebuild_dirty`] — structurally sharing
-//!   every clean segment and the affinity arrays — and swaps the result
+//!   every clean segment — and swaps the result
 //!   in as a new **epoch** behind a mutex-guarded `Arc` handoff;
 //! * readers [`pin`](LiveEngine::pin) an epoch: a [`PinnedEpoch`] holds
 //!   `Arc`s to that epoch's matrix and substrate for as long as the
@@ -1368,7 +1368,6 @@ mod tests {
         assert!(!pin0
             .substrate()
             .shares_segment_with(pin1.substrate(), UserId(1)));
-        assert!(pin0.substrate().shares_affinity_with(pin1.substrate()));
     }
 
     #[test]

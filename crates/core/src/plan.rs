@@ -24,21 +24,19 @@
 //! 3. **Overlap bucketing** — a union-find over shared members groups
 //!    the wave into connected components; the execution order walks one
 //!    bucket at a time so a member's freshly resolved lists are hot
-//!    when its other groups run. Waves with nothing to share fall back
-//!    to the independent path untouched — zero regression.
+//!    when its other groups run. Waves with nothing to share run every
+//!    query on its own, exactly as [`GroupQuery::run`] would.
 //!
 //! Shared entries are keyed by `(user, itemset identity)` and scoped to
-//! **one engine state**: [`run_batch_with`] partitions the wave by
+//! **one engine state**: [`crate::query::run_batch`] partitions the wave by
 //! engine identity and arenas never cross partitions, while the serving
 //! layer scopes one arena per published epoch (reset through the same
 //! publish hook that invalidates the result cache).
 
+use crate::access::AccessStats;
 use crate::greca::TopKResult;
-use crate::lists::SortedList;
-use crate::query::{
-    lock_unpoisoned, run_batch_independent, sum_stats, BatchResult, GroupQuery, QueryError,
-    QueryKey,
-};
+use crate::lists::{ListKind, ListView, SortedList};
+use crate::query::{lock_unpoisoned, BatchResult, GroupQuery, QueryError, QueryKey};
 use crate::substrate::SegmentHandle;
 use greca_dataset::UserId;
 use std::collections::HashMap;
@@ -50,22 +48,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// distinct member × itemset); the cap bounds the epoch-scoped serving
 /// arena the way the engine's affinity cache is bounded.
 const SHARED_STATE_CAP: usize = 8_192;
-
-/// Tuning knobs for [`run_batch_with`]. The planner is on by default —
-/// [`crate::query::run_batch`] routes through it; pass
-/// `enabled: false` to force the independent path (the benchmarks'
-/// planner-off baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct PlanOptions {
-    /// Whether the wave is analyzed for sharing at all.
-    pub enabled: bool,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions { enabled: true }
-    }
-}
 
 /// What the planner found in (and did with) one wave.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -136,10 +118,19 @@ pub(crate) enum SharedList {
 }
 
 impl SharedList {
-    fn len(&self) -> usize {
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
         match self {
             SharedList::Handle(h) => h.ids().len(),
             SharedList::List(l) => l.len(),
+        }
+    }
+
+    /// The list as group member `member`'s preference view.
+    pub(crate) fn view(&self, member: u32) -> ListView<'_> {
+        match self {
+            SharedList::Handle(h) => h.view(member),
+            SharedList::List(l) => l.view_as(ListKind::Preference { member }),
         }
     }
 }
@@ -424,23 +415,20 @@ fn analyze(queries: &[GroupQuery<'_>]) -> WavePlan {
 
 /// Execute a wave through the batch planner (see the module docs).
 ///
-/// With `enabled: false`, or when analysis finds nothing to share (no
-/// duplicate queries, no member in ≥ 2 unique groups of one engine),
-/// the wave runs on the independent path — results, statistics and
-/// per-query errors are exactly [`crate::query::run_batch`]'s
-/// pre-planner behavior. Otherwise unique queries execute through a
-/// per-partition [`SharedMemberState`] and duplicates are answered by
-/// cloning their representative's result; both levers are
-/// bit-identical to independent execution, which
-/// `crates/core/tests/plan_batch.rs` holds against the kernel-identity
-/// oracle's worlds.
-pub fn run_batch_with(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResult {
+/// When analysis finds nothing to share (no duplicate queries, no
+/// member in ≥ 2 unique groups of one engine), every query runs on its
+/// own. Otherwise unique queries execute through a per-partition
+/// [`SharedMemberState`] and duplicates are answered by cloning their
+/// representative's result; both levers are bit-identical to per-query
+/// [`GroupQuery::run`], which `crates/core/tests/plan_batch.rs` holds
+/// against the kernel-identity oracle's worlds.
+pub(crate) fn run_wave(queries: &[GroupQuery<'_>]) -> BatchResult {
     // One span for the whole wave. Single-worker execution attributes
     // prepare/kernel phases here too; scoped worker threads run with
     // no active span (their phase timers no-op), so a parallel wave's
     // span records the wave's wall clock without double-counting.
     let batch_span = crate::obs::span(crate::obs::next_trace_id(), crate::obs::SpanKind::Batch);
-    let result = run_batch_inner(queries, opts);
+    let result = run_wave_inner(queries);
     if batch_span.active() {
         crate::obs::note_ok(true);
     }
@@ -448,72 +436,35 @@ pub fn run_batch_with(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchRe
     result
 }
 
-fn run_batch_inner(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResult {
-    if !opts.enabled || queries.len() < 2 {
-        let results = run_batch_independent(queries);
-        return BatchResult {
-            stats: sum_stats(&results),
-            results,
-            plan: None,
-        };
-    }
-    let mut plan = analyze(queries);
-    if !plan.worth_sharing() {
-        let results = run_batch_independent(queries);
-        return BatchResult {
-            stats: sum_stats(&results),
-            results,
-            plan: Some(plan.stats),
-        };
-    }
+fn run_wave_inner(queries: &[GroupQuery<'_>]) -> BatchResult {
+    let mut plan = match (queries.len() >= 2).then(|| analyze(queries)) {
+        Some(plan) if plan.worth_sharing() => plan,
+        skipped => {
+            let results = parallel_map(queries.len(), |i| queries[i].run());
+            return BatchResult {
+                stats: sum_stats(&results),
+                results,
+                plan: skipped.map(|p| p.stats),
+            };
+        }
+    };
 
     let states: Vec<SharedMemberState> = (0..plan.partitions)
         .map(|_| SharedMemberState::new())
         .collect();
+    let ran = parallel_map(plan.order.len(), |j| {
+        let i = plan.order[j];
+        queries[i].run_shared(&states[plan.partition_of[i]])
+    });
     let mut slots: Vec<Option<Result<TopKResult, QueryError>>> = Vec::new();
     slots.resize_with(queries.len(), || None);
-
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(plan.order.len().max(1));
-    if workers <= 1 {
-        for &i in &plan.order {
-            slots[i] = Some(queries[i].run_shared(&states[plan.partition_of[i]]));
-        }
-    } else {
-        let order = &plan.order;
-        let partition_of = &plan.partition_of;
-        let states = &states;
-        let next = AtomicUsize::new(0);
-        let collected: Vec<Vec<(usize, Result<TopKResult, QueryError>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let j = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&i) = order.get(j) else { break };
-                                out.push((i, queries[i].run_shared(&states[partition_of[i]])));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("planned batch worker panicked"))
-                    .collect()
-            });
-        for (i, r) in collected.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
+    for (&i, r) in plan.order.iter().zip(ran) {
+        slots[i] = Some(r);
     }
 
     // Duplicates: clone the representative's result — bit-identical to
     // re-running it, including per-query access statistics, so the
-    // summed batch stats match the independent path exactly.
+    // summed batch stats match per-query execution exactly.
     for i in 0..queries.len() {
         if let Some(rep) = plan.dup_of[i] {
             slots[i] = Some(slots[rep].clone().expect("representative executed"));
@@ -535,4 +486,61 @@ fn run_batch_inner(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResul
         results,
         plan: Some(plan.stats),
     }
+}
+
+/// `job(0..n)` over `min(available_parallelism, n)` scoped OS threads,
+/// spawned once and fed by a single shared atomic work queue (queries
+/// cost wildly different amounts — group size, item count and period
+/// depth all vary — so work-stealing beats static chunking). Results
+/// come back in index order.
+fn parallel_map<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .min(n.max(1));
+    if workers <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let collected: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, job(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("batch worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    for (i, r) in collected.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index visited"))
+        .collect()
+}
+
+/// Access counters summed over a batch's successful queries.
+fn sum_stats(results: &[Result<TopKResult, QueryError>]) -> AccessStats {
+    let mut stats = AccessStats::default();
+    for r in results.iter().filter_map(|r| r.as_ref().ok()) {
+        stats.sa += r.stats.sa;
+        stats.ra += r.stats.ra;
+        stats.total_entries += r.stats.total_entries;
+    }
+    stats
 }

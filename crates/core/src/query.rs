@@ -37,15 +37,14 @@ use crate::greca::{
     greca_topk_with, CheckInterval, GrecaConfig, GrecaScratch, StoppingRule, TopKResult,
 };
 use crate::lists::{
-    build_affinity_lists, group_affinity_list_sets, GrecaInputs, ListKind, ListLayout,
-    MaterializedInputs, NonFiniteEntry, SortedList,
+    group_affinity_list_sets, GrecaInputs, ListKind, ListLayout, NonFiniteEntry, SortedList,
 };
 use crate::naive::{naive_scores, naive_topk};
-use crate::plan::SharedMemberState;
-use crate::substrate::{ItemCoverage, SegmentHandle, Substrate};
+use crate::plan::{SharedList, SharedMemberState};
+use crate::substrate::{ItemCoverage, Substrate};
 use crate::ta::{ta_topk, TaConfig};
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity};
-use greca_cf::{group_preference_lists, PreferenceList, PreferenceProvider};
+use greca_cf::{PreferenceList, PreferenceProvider};
 use greca_consensus::{ConsensusFunction, DisagreementKind, GroupPreferenceKind};
 use greca_dataset::{Group, ItemId, UserId};
 use std::collections::HashMap;
@@ -518,9 +517,9 @@ impl<'a> GrecaEngine<'a> {
     }
 
     /// Wrap the substrates *warm*: precompute every universe user's
-    /// sorted preference list over `items` and the per-period sorted
-    /// affinity arrays, once, into shared storage. Queries then prepare
-    /// by slicing views instead of sorting (see the module docs).
+    /// sorted preference list over `items`, once, into shared storage.
+    /// Queries then prepare by slicing views instead of sorting (see the
+    /// module docs).
     pub fn warm(
         provider: &'a (dyn PreferenceProvider + Sync + 'a),
         population: &'a PopulationAffinity,
@@ -553,23 +552,15 @@ impl<'a> GrecaEngine<'a> {
     }
 
     /// Wrap the substrates around an existing shared [`Substrate`]
-    /// (e.g. one built once and shared across engines or shards).
-    ///
-    /// # Panics
-    ///
-    /// If the substrate was not built from this population index (same
-    /// universe, pair space and period count) — a mismatched pairing
-    /// would silently rank by the wrong affinity arrays, so it is a
-    /// programming error, not a query error.
+    /// (e.g. one built once and shared across engines or shards). The
+    /// substrate holds preference segments only, so any population index
+    /// can serve beside it; affinity lists always come from
+    /// `population`.
     pub fn with_substrate(
         provider: &'a (dyn PreferenceProvider + Sync + 'a),
         population: &'a PopulationAffinity,
         substrate: Arc<Substrate>,
     ) -> Self {
-        assert!(
-            substrate.is_compatible_with(population),
-            "substrate was built from a different population index"
-        );
         GrecaEngine {
             provider,
             population,
@@ -588,10 +579,6 @@ impl<'a> GrecaEngine<'a> {
         substrate: Arc<Substrate>,
         affinity_cache: AffinityCache,
     ) -> Self {
-        assert!(
-            substrate.is_compatible_with(population),
-            "substrate was built from a different population index"
-        );
         GrecaEngine {
             provider,
             population,
@@ -869,10 +856,11 @@ impl<'q> GroupQuery<'q> {
     /// On a warm engine this selects substrate views (no per-user sort,
     /// no preference-entry clone); on a cold engine — or for a query the
     /// substrate cannot serve (unknown user, foreign or duplicated
-    /// items) — it materializes owned lists exactly as before. Both
-    /// paths are bit-identical.
+    /// items) — it materializes owned lists. Both paths are
+    /// bit-identical. Equivalent to [`prepare_shared`](Self::prepare_shared)
+    /// over a fresh, query-private [`SharedMemberState`].
     pub fn prepare(&self) -> Result<PreparedQuery, QueryError> {
-        self.prepare_impl(None)
+        self.prepare_shared(&SharedMemberState::new())
     }
 
     /// Like [`prepare`](Self::prepare), but resolving per-member sorted
@@ -887,13 +875,6 @@ impl<'q> GroupQuery<'q> {
     /// `greca-serve` scopes one per published epoch). Crossing engines
     /// or epochs would serve stale lists.
     pub fn prepare_shared(&self, shared: &SharedMemberState) -> Result<PreparedQuery, QueryError> {
-        self.prepare_impl(Some(shared))
-    }
-
-    fn prepare_impl(
-        &self,
-        shared: Option<&SharedMemberState>,
-    ) -> Result<PreparedQuery, QueryError> {
         let _prepare = crate::obs::phase(crate::obs::Phase::Prepare);
         self.validate()?;
         let resolved: Vec<ItemId>;
@@ -914,44 +895,28 @@ impl<'q> GroupQuery<'q> {
         // itemsets; the fingerprint is computed over the *resolved*
         // itemset so a defaulted (empty) itemset keys by what it
         // actually resolved to.
-        let shared = shared.map(|s| (s, itemset_fingerprint(items)));
-        let period = self.effective_period();
-        let affinity = self.engine.cached_affinity(self.group, period, self.mode);
-
-        let storage = match self.engine.substrate {
-            Some(ref substrate) => {
-                match build_warm(
-                    self.engine.provider,
-                    substrate,
-                    &affinity,
-                    self.group,
-                    items,
-                    self.layout,
-                    shared,
-                )? {
-                    Some(warm) => PreparedStorage::Warm(warm),
-                    None => cold_storage(
-                        self.engine.provider,
-                        &affinity,
-                        self.group,
-                        items,
-                        self.layout,
-                        shared,
-                    )?,
-                }
+        let items_fp = itemset_fingerprint(items);
+        let affinity = self
+            .engine
+            .cached_affinity(self.group, self.effective_period(), self.mode);
+        let provider = self.engine.provider;
+        let warm = match &self.engine.substrate {
+            Some(substrate) => {
+                warm_pref_lists(provider, substrate, self.group, items, items_fp, shared)?
             }
-            None => cold_storage(
-                self.engine.provider,
-                &affinity,
-                self.group,
-                items,
-                self.layout,
-                shared,
-            )?,
+            None => None,
         };
+        let (lists, warm) = match warm {
+            Some(lists) => (lists, true),
+            None => (
+                cold_pref_lists(provider, self.group, items, items_fp, shared)?,
+                false,
+            ),
+        };
+        let inputs = PreparedInputs::assemble(lists, &affinity, self.layout, warm)?;
         Ok(PreparedQuery {
             affinity,
-            storage,
+            inputs,
             normalize_rpref: self.normalize_rpref,
             consensus: self.consensus,
             k: self.k,
@@ -997,326 +962,151 @@ impl<'q> GroupQuery<'q> {
     }
 }
 
-/// Cold-path list materialization: provider calls + sorts, per query.
-fn cold_inputs(
-    provider: &(dyn PreferenceProvider + Sync + '_),
-    affinity: &GroupAffinity,
-    group: &Group,
-    items: &[ItemId],
-    layout: ListLayout,
-) -> Result<MaterializedInputs, QueryError> {
-    let pref_lists = group_preference_lists(provider, group, items)?;
-    Ok(MaterializedInputs::build(&pref_lists, affinity, layout)?)
+/// One member's preference list, sorted and stored member-agnostic
+/// (kind `member: 0`): the columns are identical for every group the
+/// member belongs to, and views re-kind them to the group-local index.
+fn member_list(pl: &PreferenceList) -> Result<Arc<SortedList>, NonFiniteEntry> {
+    let entries: Vec<(u32, f64)> = pl.entries.iter().map(|&(i, s)| (i.0, s)).collect();
+    Ok(Arc::new(SortedList::new(
+        ListKind::Preference { member: 0 },
+        entries,
+    )?))
 }
 
-/// Cold-path storage selection: per-query owned lists, or — through a
-/// [`SharedMemberState`] — per-member lists resolved once per wave and
-/// shared across the queries that need them.
-fn cold_storage(
+/// Cold-path member lists: one provider scan + sort per `(member,
+/// itemset)` key of the arena, no matter how many groups the member
+/// appears in.
+fn cold_pref_lists(
     provider: &(dyn PreferenceProvider + Sync + '_),
-    affinity: &GroupAffinity,
-    group: &Group,
-    items: &[ItemId],
-    layout: ListLayout,
-    shared: Option<(&SharedMemberState, u128)>,
-) -> Result<PreparedStorage, QueryError> {
-    match shared {
-        Some((state, items_fp)) => Ok(PreparedStorage::SharedCold(shared_cold_inputs(
-            provider, affinity, group, items, items_fp, layout, state,
-        )?)),
-        None => Ok(PreparedStorage::Cold(cold_inputs(
-            provider, affinity, group, items, layout,
-        )?)),
-    }
-}
-
-/// [`cold_inputs`] with every per-member preference list resolved
-/// through the shared arena: one provider scan + sort per `(member,
-/// itemset)` key per wave, no matter how many groups the member appears
-/// in. Lists are stored member-agnostic (kind `member: 0`) — sorting is
-/// deterministic (descending, ties by id), so the columns are identical
-/// for every group — and re-kinded to the group-local member index at
-/// view assembly. The per-group affinity lists are tiny (≤ n−1 entries
-/// each) and stay per-query.
-fn shared_cold_inputs(
-    provider: &(dyn PreferenceProvider + Sync + '_),
-    affinity: &GroupAffinity,
     group: &Group,
     items: &[ItemId],
     items_fp: u128,
-    layout: ListLayout,
     shared: &SharedMemberState,
-) -> Result<SharedColdInputs, QueryError> {
-    let pref_lists: Vec<Arc<SortedList>> = group
+) -> Result<Vec<SharedList>, QueryError> {
+    group
         .members()
         .iter()
         .map(|&u| {
-            shared.resolve_list(u, items.len(), items_fp, || {
-                let pl = provider.preference_list(u, items)?;
-                let entries: Vec<(u32, f64)> = pl.entries.iter().map(|&(i, s)| (i.0, s)).collect();
-                Ok(Arc::new(SortedList::new(
-                    ListKind::Preference { member: 0 },
-                    entries,
-                )?))
-            })
+            let list = shared.resolve_list(u, items.len(), items_fp, || {
+                Ok(member_list(&provider.preference_list(u, items)?)?)
+            })?;
+            Ok(SharedList::List(list))
         })
-        .collect::<Result<_, _>>()?;
-    let num_items = pref_lists.first().map_or(0, |l| l.len());
-    for l in &pref_lists {
-        assert_eq!(l.len(), num_items, "preference lists must align");
-    }
-    let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
-    Ok(SharedColdInputs {
-        pref_lists,
-        static_lists,
-        period_lists,
-        num_members: group.members().len(),
-        num_pairs: affinity.num_pairs(),
-        num_items,
-    })
+        .collect()
 }
 
-/// Warm-path selection from the substrate. Returns `Ok(None)` when the
-/// substrate cannot serve this query (an uncovered user, a foreign or
+/// Warm-path member lists from the substrate: each member's segment
+/// handle for a full-universe itemset, or one order-preserving filter
+/// pass over it for a subset. Returns `Ok(None)` when the substrate
+/// cannot serve this query (an uncovered member, a foreign or
 /// duplicated item) and the caller should fall back to the cold path.
-fn build_warm(
+fn warm_pref_lists(
     provider: &(dyn PreferenceProvider + Sync + '_),
-    substrate: &Arc<Substrate>,
-    affinity: &GroupAffinity,
+    substrate: &Substrate,
     group: &Group,
     items: &[ItemId],
-    layout: ListLayout,
-    shared: Option<(&SharedMemberState, u128)>,
-) -> Result<Option<WarmInputs>, QueryError> {
+    items_fp: u128,
+    shared: &SharedMemberState,
+) -> Result<Option<Vec<SharedList>>, QueryError> {
     let Some(coverage) = substrate.item_coverage(items) else {
         return Ok(None);
     };
-    // One owned handle per member: resident dense segments cost an `Arc`
+    let members = group.members();
+    let Some(indices) = members
+        .iter()
+        .map(|&u| substrate.user_index(u))
+        .collect::<Option<Vec<usize>>>()
+    else {
+        return Ok(None);
+    };
+    // An owned handle per member: resident dense segments cost an `Arc`
     // clone; quantized or lazy segments may materialize (and cache)
-    // their dense columns here, so the views below stay borrowable.
-    // Through the shared arena, that (potentially expensive) handle
-    // resolution happens once per member per wave.
-    let mut handles: Vec<SegmentHandle> = Vec::with_capacity(group.members().len());
-    for &u in group.members() {
-        match substrate.user_index(u) {
-            Some(i) => handles.push(match shared {
-                Some((state, _)) => {
-                    state.resolve_handle(u, || substrate.segment_handle(provider, i))?
-                }
-                None => substrate.segment_handle(provider, i)?,
-            }),
-            None => return Ok(None),
-        }
-    }
-    // (group pair id, population pair id), in group triangular order, so
-    // a member's pairs are one contiguous row of this vec.
-    let members = affinity.members();
-    let n = members.len();
-    let mut pair_map: Vec<(u32, usize)> = Vec::with_capacity(affinity.num_pairs());
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let g = affinity
-                .pair_of(members[i], members[j])
-                .expect("members are in the group") as u32;
-            let Some(pop) = substrate.population_pair_of(members[i], members[j]) else {
-                return Ok(None);
-            };
-            pair_map.push((g, pop));
-        }
-    }
-
-    let (filtered, num_items) = match coverage {
-        ItemCoverage::Full => (None, substrate.num_items()),
-        ItemCoverage::Subset(mask) => {
-            // Filtered columns are stored member-agnostic and re-kinded
-            // to the group-local member index at view assembly, so one
-            // filter pass per (member, itemset) serves every group the
-            // member belongs to when resolved through the shared arena.
-            let lists: Vec<Arc<SortedList>> = match shared {
-                Some((state, items_fp)) => group
-                    .members()
-                    .iter()
-                    .zip(&handles)
-                    .map(|(&u, h)| {
-                        state.resolve_list(u, items.len(), items_fp, || {
-                            Ok(Arc::new(substrate.shared_pref_list(h, &mask, items.len())))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-                None => handles
-                    .iter()
-                    .map(|h| Arc::new(substrate.shared_pref_list(h, &mask, items.len())))
-                    .collect(),
-            };
-            (Some(lists), items.len())
-        }
-    };
-
-    let mode = affinity.mode();
-    let static_lists = if mode.uses_static() {
-        // Static components are re-normalized *per group* (§4.1.2), so
-        // their per-query sort stays (tiny: ≤ n−1 entries per list, and
-        // a shared positive rescale could in principle collapse two
-        // distinct raw values into a float tie, where the population
-        // rank and a value sort may disagree).
-        build_affinity_lists(affinity, layout, ListKind::StaticAffinity, |pair| {
-            affinity.static_component(pair)
-        })?
-    } else {
-        Vec::new()
-    };
-
-    let period_lists: Vec<Vec<SortedList>> = if mode.is_temporal() {
-        (0..affinity.num_periods())
-            .map(|p| {
-                let kind = ListKind::PeriodicAffinity { period: p as u32 };
-                let assemble = |pairs: &mut [(u32, usize)]| {
-                    substrate.order_pairs_by_period_rank(p, pairs);
-                    let ids: Vec<u32> = pairs.iter().map(|&(g, _)| g).collect();
-                    let scores: Vec<f64> = pairs
-                        .iter()
-                        .map(|&(g, _)| affinity.period_component(p, g as usize))
-                        .collect();
-                    SortedList::from_sorted_columns(kind, ids, scores)
-                };
-                match layout {
-                    ListLayout::Single => {
-                        let mut pairs = pair_map.clone();
-                        vec![assemble(&mut pairs)]
-                    }
-                    ListLayout::Decomposed => {
-                        let mut lists = Vec::with_capacity(n.saturating_sub(1));
-                        let mut row_start = 0;
-                        for i in 0..n.saturating_sub(1) {
-                            let row_len = n - 1 - i;
-                            let mut pairs = pair_map[row_start..row_start + row_len].to_vec();
-                            lists.push(assemble(&mut pairs));
-                            row_start += row_len;
-                        }
-                        lists
-                    }
+    // their dense columns here, so the views stay borrowable.
+    members
+        .iter()
+        .zip(indices)
+        .map(|(&u, idx)| {
+            let handle = shared.resolve_handle(u, || substrate.segment_handle(provider, idx))?;
+            Ok(match &coverage {
+                ItemCoverage::Full => SharedList::Handle(handle),
+                ItemCoverage::Subset(mask) => {
+                    SharedList::List(shared.resolve_list(u, items.len(), items_fp, || {
+                        Ok(Arc::new(substrate.shared_pref_list(
+                            &handle,
+                            mask,
+                            items.len(),
+                        )))
+                    })?)
                 }
             })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    Ok(Some(WarmInputs {
-        handles,
-        filtered,
-        static_lists,
-        period_lists,
-        num_members: n,
-        num_pairs: affinity.num_pairs(),
-        num_items,
-    }))
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
-/// Substrate-backed prepared state: zero-copy segment references (or
-/// filtered columns for subset itemsets) plus the per-query tiny
-/// affinity lists. The per-member handles keep their segments (and any
-/// materialized columns) alive, independent of cache eviction or epoch
-/// swaps.
+/// The list storage behind a [`PreparedQuery`]: one resolved preference
+/// list per member — a substrate segment handle or a member-agnostic
+/// owned list, either possibly shared with other queries through a
+/// [`SharedMemberState`] — plus the group's tiny affinity lists. The
+/// handles keep their segments (and any materialized columns) alive,
+/// independent of cache eviction or epoch swaps.
 #[derive(Debug, Clone)]
-struct WarmInputs {
-    /// One owned segment handle per member.
-    handles: Vec<SegmentHandle>,
-    /// `Some` when the itemset is a strict subset of the universe. The
-    /// columns are member-agnostic (and possibly shared across queries
-    /// through a wave's [`SharedMemberState`]); views re-kind them to
-    /// the group-local member index.
-    filtered: Option<Vec<Arc<SortedList>>>,
+struct PreparedInputs {
+    pref_lists: Vec<SharedList>,
     static_lists: Vec<SortedList>,
     period_lists: Vec<Vec<SortedList>>,
-    num_members: usize,
     num_pairs: usize,
     num_items: usize,
+    /// Whether the preference lists were served from a substrate.
+    warm: bool,
 }
 
-impl WarmInputs {
-    fn views(&self) -> GrecaInputs<'_> {
-        let pref_lists = match &self.filtered {
-            Some(lists) => lists
-                .iter()
-                .enumerate()
-                .map(|(m, l)| l.view_as(ListKind::Preference { member: m as u32 }))
-                .collect(),
-            None => self
-                .handles
-                .iter()
-                .enumerate()
-                .map(|(m, h)| h.view(m as u32))
-                .collect(),
-        };
-        GrecaInputs::assemble(
+impl PreparedInputs {
+    /// Pair the member lists with the group's affinity lists (§3.1's
+    /// per-group lists of at most `n − 1` pairs, sorted here — which is
+    /// also where a non-finite affinity value is rejected).
+    fn assemble(
+        pref_lists: Vec<SharedList>,
+        affinity: &GroupAffinity,
+        layout: ListLayout,
+        warm: bool,
+    ) -> Result<Self, QueryError> {
+        assert_eq!(
+            pref_lists.len(),
+            affinity.members().len(),
+            "one preference list per group member"
+        );
+        let num_items = pref_lists.first().map_or(0, SharedList::len);
+        for l in &pref_lists {
+            assert_eq!(l.len(), num_items, "preference lists must align");
+        }
+        let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
+        Ok(PreparedInputs {
             pref_lists,
-            self.static_lists.iter().map(SortedList::as_view).collect(),
-            self.period_lists
-                .iter()
-                .map(|ls| ls.iter().map(SortedList::as_view).collect())
-                .collect(),
-            self.num_members,
-            self.num_pairs,
-            self.num_items,
-        )
+            static_lists,
+            period_lists,
+            num_pairs: affinity.num_pairs(),
+            num_items,
+            warm,
+        })
     }
-}
 
-/// Cold-path prepared state whose per-member preference lists live in a
-/// wave's [`SharedMemberState`] arena instead of per-query owned
-/// storage. Lists are member-agnostic `Arc`s (see
-/// [`shared_cold_inputs`]); views re-kind them to the group-local
-/// member index, producing view bundles identical to
-/// [`MaterializedInputs::views`]'s.
-#[derive(Debug, Clone)]
-struct SharedColdInputs {
-    pref_lists: Vec<Arc<SortedList>>,
-    static_lists: Vec<SortedList>,
-    period_lists: Vec<Vec<SortedList>>,
-    num_members: usize,
-    num_pairs: usize,
-    num_items: usize,
-}
-
-impl SharedColdInputs {
     fn views(&self) -> GrecaInputs<'_> {
         GrecaInputs::assemble(
             self.pref_lists
                 .iter()
                 .enumerate()
-                .map(|(m, l)| l.view_as(ListKind::Preference { member: m as u32 }))
+                .map(|(m, l)| l.view(m as u32))
                 .collect(),
             self.static_lists.iter().map(SortedList::as_view).collect(),
             self.period_lists
                 .iter()
                 .map(|ls| ls.iter().map(SortedList::as_view).collect())
                 .collect(),
-            self.num_members,
+            self.pref_lists.len(),
             self.num_pairs,
             self.num_items,
         )
-    }
-}
-
-/// Which storage backs a [`PreparedQuery`].
-#[derive(Debug, Clone)]
-enum PreparedStorage {
-    /// Per-query owned lists (the legacy materialization path).
-    Cold(MaterializedInputs),
-    /// Substrate views (the warm path).
-    Warm(WarmInputs),
-    /// Cold lists resolved through a wave's shared member arena.
-    SharedCold(SharedColdInputs),
-}
-
-impl PreparedStorage {
-    fn views(&self) -> GrecaInputs<'_> {
-        match self {
-            PreparedStorage::Cold(m) => m.views(),
-            PreparedStorage::Warm(w) => w.views(),
-            PreparedStorage::SharedCold(s) => s.views(),
-        }
     }
 }
 
@@ -1329,7 +1119,7 @@ impl PreparedStorage {
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     affinity: Arc<GroupAffinity>,
-    storage: PreparedStorage,
+    inputs: PreparedInputs,
     normalize_rpref: bool,
     consensus: ConsensusFunction,
     k: usize,
@@ -1354,10 +1144,14 @@ impl PreparedQuery {
         layout: ListLayout,
         normalize_rpref: bool,
     ) -> Result<Self, QueryError> {
-        let inputs = MaterializedInputs::build(pref_lists, &affinity, layout)?;
+        let lists = pref_lists
+            .iter()
+            .map(|pl| Ok(SharedList::List(member_list(pl)?)))
+            .collect::<Result<_, NonFiniteEntry>>()?;
+        let inputs = PreparedInputs::assemble(lists, &affinity, layout, false)?;
         Ok(PreparedQuery {
             affinity: Arc::new(affinity),
-            storage: PreparedStorage::Cold(inputs),
+            inputs,
             normalize_rpref,
             consensus: ConsensusFunction::average_preference(),
             k: PAPER_DEFAULT_K,
@@ -1407,13 +1201,13 @@ impl PreparedQuery {
     /// backing storage is owned by this query or by the engine's
     /// substrate).
     pub fn inputs(&self) -> GrecaInputs<'_> {
-        self.storage.views()
+        self.inputs.views()
     }
 
     /// Whether this preparation is served from substrate views (as
     /// opposed to per-query owned lists).
     pub fn is_warm(&self) -> bool {
-        matches!(self.storage, PreparedStorage::Warm(_))
+        self.inputs.warm
     }
 
     /// The group's affinity view at the query period.
@@ -1468,7 +1262,7 @@ impl PreparedQuery {
         scratch: &mut GrecaScratch,
     ) -> TopKResult {
         let kernel_timer = crate::obs::phase(crate::obs::Phase::Kernel);
-        let inputs = self.storage.views();
+        let inputs = self.inputs.views();
         let result = match algorithm {
             Algorithm::Greca(mut config) => {
                 config.k = self.k;
@@ -1508,7 +1302,7 @@ impl PreparedQuery {
     /// access accounting; the verification/evaluation path).
     pub fn exact_scores(&self) -> Vec<(ItemId, f64)> {
         naive_scores(
-            &self.storage.views(),
+            &self.inputs.views(),
             &self.affinity,
             self.consensus,
             self.normalize_rpref,
@@ -1525,8 +1319,7 @@ pub struct BatchResult {
     /// Access counters summed over the successful queries.
     pub stats: AccessStats,
     /// What the batch planner found in (and did with) the wave; `None`
-    /// when the wave skipped analysis entirely (planner disabled, or
-    /// fewer than two queries).
+    /// when the wave skipped analysis entirely (fewer than two queries).
     pub plan: Option<crate::plan::PlanStats>,
 }
 
@@ -1547,80 +1340,19 @@ impl BatchResult {
 /// Execute many prepared queries in parallel and aggregate their access
 /// statistics — the §4.2 many-group harness path.
 ///
-/// The wave first passes through the batch planner
-/// ([`crate::plan::run_batch_with`] with default options): duplicate
-/// queries are answered by one kernel run, and queries whose groups
-/// overlap share per-member list resolution through a wave-scoped
-/// [`SharedMemberState`] — both levers gated by the kernel-identity
-/// invariant, so results are bit-identical to independent execution.
-/// Waves with nothing to share run on the independent path unchanged.
-/// Results keep input order; per-query failures surface as `Err`
-/// entries without failing the batch.
+/// The wave passes through the batch planner (see [`crate::plan`]):
+/// duplicate queries are answered by one kernel run, and queries whose
+/// groups overlap share per-member list resolution through a
+/// wave-scoped [`SharedMemberState`] — both levers gated by the
+/// kernel-identity invariant, so results are bit-identical to running
+/// each query on its own. Waves with nothing to share run every query
+/// independently over `min(available_parallelism, #queries)` OS
+/// threads; on a warm engine every worker serves from the *same*
+/// `Arc<Substrate>` and group-affinity cache. Results keep input order;
+/// per-query failures surface as `Err` entries without failing the
+/// batch.
 pub fn run_batch(queries: &[GroupQuery<'_>]) -> BatchResult {
-    crate::plan::run_batch_with(queries, &crate::plan::PlanOptions::default())
-}
-
-/// The planner-free execution core: every query runs independently over
-/// `min(available_parallelism, #queries)` OS threads, spawned once per
-/// batch and fed by a single shared atomic work queue (queries cost
-/// wildly different amounts — group size, item count and period depth
-/// all vary — so work-stealing beats static chunking). On a warm engine
-/// every worker serves from the *same* `Arc<Substrate>` and
-/// group-affinity cache instead of re-materializing per query.
-pub(crate) fn run_batch_independent(
-    queries: &[GroupQuery<'_>],
-) -> Vec<Result<TopKResult, QueryError>> {
-    let mut results: Vec<Option<Result<TopKResult, QueryError>>> = Vec::new();
-    results.resize_with(queries.len(), || None);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(queries.len().max(1));
-    if workers <= 1 {
-        for (slot, q) in results.iter_mut().zip(queries) {
-            *slot = Some(q.run());
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let collected: Vec<Vec<(usize, Result<TopKResult, QueryError>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(q) = queries.get(i) else { break };
-                                out.push((i, q.run()));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            });
-        for (i, r) in collected.into_iter().flatten() {
-            results[i] = Some(r);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every query index visited"))
-        .collect()
-}
-
-/// Access counters summed over a batch's successful queries.
-pub(crate) fn sum_stats(results: &[Result<TopKResult, QueryError>]) -> AccessStats {
-    let mut stats = AccessStats::default();
-    for r in results.iter().filter_map(|r| r.as_ref().ok()) {
-        stats.sa += r.stats.sa;
-        stats.ra += r.stats.ra;
-        stats.total_entries += r.stats.total_entries;
-    }
-    stats
+    crate::plan::run_wave(queries)
 }
 
 #[cfg(test)]

@@ -16,12 +16,11 @@
 //!   [`ListView`]s — zero copies, zero sorts, zero provider calls. A
 //!   strict-subset itemset is filtered in one order-preserving pass
 //!   (still no sort, no provider calls).
-//! * **Affinity arrays** — per period (and for static affinity), every
-//!   population pair ordered by component descending, plus the inverse
-//!   *rank* array. Ordering any group's pairs by rank reproduces exactly
-//!   the order a per-query sort would produce (normalization is a shared
-//!   positive scale and both tie-break by ascending pair id), so warm
-//!   periodic lists are assembled without comparing floats.
+//!
+//! Affinity lists are *not* stored here: GRECA reads per-group lists of
+//! at most `n − 1` pairs each (§3.1), which every preparation builds from
+//! the group's [`GroupAffinity`](greca_affinity::GroupAffinity) view with
+//! a tiny sort — the same assembly on the warm and the cold path.
 //!
 //! # Scale-tier storage
 //!
@@ -58,20 +57,17 @@
 //! Each substrate value is immutable and shared via `Arc<Substrate>`:
 //! [`crate::query::run_batch`] worker threads, cached
 //! [`PreparedQuery`](crate::query::PreparedQuery)s and the engine all
-//! alias the same buffers. Because the engine borrows its
-//! [`PopulationAffinity`] for its whole lifetime, the index cannot gain
-//! periods behind the substrate's back — snapshot staleness is ruled out
-//! by the borrow checker, not by invalidation logic.
+//! alias the same buffers.
 //!
 //! Evolving *ratings* are handled by versioning, not mutation: the
 //! `Arc`-per-segment split makes [`Substrate::rebuild_dirty`] cheap — a
 //! delta batch's invalidated users get fresh segments, every clean
-//! segment (and the affinity arrays) is aliased — and the live layer
+//! segment is aliased — and the live layer
 //! ([`crate::live::LiveEngine`]) publishes each rebuilt substrate as a
 //! new *epoch* that in-flight queries, pinned to the previous epoch's
 //! `Arc`s, never observe mid-read.
 
-use crate::lists::{ListKind, ListView, NonFiniteEntry, SortedList};
+use crate::lists::{ListKind, ListView, SortedList};
 use crate::query::QueryError;
 use greca_affinity::PopulationAffinity;
 use greca_cf::{NonFiniteScore, PreferenceProvider};
@@ -174,9 +170,6 @@ pub struct MemoryFootprint {
     /// dequantized buffers (those live in `lazy_bytes`). Lazy slots
     /// contribute nothing here.
     pub pref_bytes: usize,
-    /// The population affinity arrays: static + per-period sorted pair
-    /// columns, rank inverses, and the population position map.
-    pub affinity_bytes: usize,
     /// The materialization cache: segments built on demand for lazy
     /// users plus dequantized score buffers for quantized segments.
     /// Bounded by [`BuildOptions::materialize_budget`]; evicted FIFO
@@ -188,17 +181,16 @@ pub struct MemoryFootprint {
 impl MemoryFootprint {
     /// Sum over all layers.
     pub fn total(&self) -> usize {
-        self.universe_bytes + self.pref_bytes + self.affinity_bytes + self.lazy_bytes
+        self.universe_bytes + self.pref_bytes + self.lazy_bytes
     }
 
-    /// The footprint as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The footprint as a JSON object (hand-formatted: the
+    /// workspace has no serialization dependency).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"universe_bytes\":{},\"pref_bytes\":{},\"affinity_bytes\":{},\"lazy_bytes\":{},\"total_bytes\":{}}}",
+            "{{\"universe_bytes\":{},\"pref_bytes\":{},\"lazy_bytes\":{},\"total_bytes\":{}}}",
             self.universe_bytes,
             self.pref_bytes,
-            self.affinity_bytes,
             self.lazy_bytes,
             self.total()
         )
@@ -529,39 +521,12 @@ struct UniverseLayout {
     m: usize,
 }
 
-/// The population-level sorted affinity arrays (static + per period).
-/// Rating deltas never invalidate these — the paper derives affinity
-/// from social signals, and the index itself is append-only — so
-/// incremental rebuilds share them wholesale behind one `Arc`.
-#[derive(Debug)]
-struct AffinityArrays {
-    /// Population universe position by user id (for population pair
-    /// indexing; the substrate's users may be a subset *or superset* of
-    /// the universe — scale-tier worlds serve preference columns for
-    /// users outside the group-forming cohort).
-    pop_pos: Vec<Option<u32>>,
-    /// Population universe size.
-    pop_n: usize,
-    /// Population pairs ordered by globally-normalized static affinity
-    /// descending, with the values.
-    static_pairs: Vec<u32>,
-    /// Values aligned with `static_pairs`.
-    static_values: Vec<f64>,
-    /// Per period: population pairs ordered by normalized periodic
-    /// affinity descending.
-    period_pairs: Vec<Vec<u32>>,
-    /// Values aligned with `period_pairs`.
-    period_values: Vec<Vec<f64>>,
-    /// Per period: rank (position in `period_pairs[p]`) by pair id.
-    period_rank: Vec<Vec<u32>>,
-}
-
-/// Precomputed sorted-list storage for one `(provider, population,
-/// item universe)` triple. See the module docs.
+/// Precomputed sorted preference storage for one `(provider, item
+/// universe)` pair. See the module docs.
 ///
 /// Storage is split into `Arc`-shared pieces along invalidation
-/// boundaries — per-user preference segments, the fixed universe
-/// layout, and the rating-independent affinity arrays — so that
+/// boundaries — per-user preference segments and the fixed universe
+/// layout — so that
 /// [`Substrate::rebuild_dirty`] can publish a new epoch's substrate by
 /// recomputing only what a delta batch invalidated. Cloning a
 /// `Substrate` is always cheap (pointer copies).
@@ -570,7 +535,6 @@ pub struct Substrate {
     layout: Arc<UniverseLayout>,
     /// One slot per `layout.users` entry.
     segments: Vec<SegmentSlot>,
-    affinity: Arc<AffinityArrays>,
     /// Resident score representation ([`Substrate::rebuild_dirty`]
     /// rebuilds dirty segments in the same representation).
     compression: ScoreCompression,
@@ -587,9 +551,9 @@ impl Substrate {
     ///
     /// Cost: one preference-column derivation per universe user (the
     /// work a cold query pays per *member*, paid once per engine
-    /// instead), plus one sort per affinity period. Rejects non-finite
-    /// preference or affinity values with [`QueryError::NonFiniteScore`]
-    /// — the same ingestion contract the cold path enforces per query.
+    /// instead). Rejects non-finite preference values with
+    /// [`QueryError::NonFiniteScore`] — the same ingestion contract the
+    /// cold path enforces per query.
     pub fn build(
         provider: &(dyn PreferenceProvider + Sync + '_),
         population: &PopulationAffinity,
@@ -637,9 +601,13 @@ impl Substrate {
     /// columns for its whole user population while only a bounded
     /// cohort (the population universe, whose pair space is quadratic)
     /// forms groups. A user listed in both sets is built eagerly.
+    ///
+    /// `_population` is not read: nothing in a substrate derives from
+    /// the affinity index. The parameter keeps the signature every
+    /// existing caller uses.
     pub fn build_with(
         provider: &(dyn PreferenceProvider + Sync + '_),
-        population: &PopulationAffinity,
+        _population: &PopulationAffinity,
         items: &[ItemId],
         eager_users: &[UserId],
         lazy_users: &[UserId],
@@ -700,7 +668,6 @@ impl Substrate {
             .collect();
         let has_lazy = segments.iter().any(|s| matches!(s, SegmentSlot::Lazy));
 
-        let affinity = affinity_arrays(population)?;
         Ok(Substrate {
             layout: Arc::new(UniverseLayout {
                 users,
@@ -710,7 +677,6 @@ impl Substrate {
                 m,
             }),
             segments,
-            affinity: Arc::new(affinity),
             compression: opts.compression,
             lazy: Arc::new(LazyStore::new(
                 opts.materialize_budget.unwrap_or(usize::MAX),
@@ -722,7 +688,7 @@ impl Substrate {
     /// A new substrate with only `dirty_users`' preference segments
     /// recomputed from `provider`, structurally sharing everything else
     /// with `self`: clean segments alias the same `Arc`s (pointer
-    /// copies), as do the universe layout and the affinity arrays.
+    /// copies), as does the universe layout.
     ///
     /// This is the incremental-epoch step of the live-ingestion path:
     /// cost is `O(|dirty ∩ users| · m log m)` provider calls and sorts
@@ -765,7 +731,6 @@ impl Substrate {
         Ok(Substrate {
             layout: Arc::clone(&self.layout),
             segments,
-            affinity: Arc::clone(&self.affinity),
             compression: self.compression,
             lazy: Arc::new(LazyStore::new(self.lazy.budget_bytes)),
             has_lazy: self.has_lazy,
@@ -785,12 +750,6 @@ impl Substrate {
         }
     }
 
-    /// Whether both substrates alias the same affinity arrays (they
-    /// always do across [`Substrate::rebuild_dirty`]).
-    pub fn shares_affinity_with(&self, other: &Substrate) -> bool {
-        Arc::ptr_eq(&self.affinity, &other.affinity)
-    }
-
     /// Users with (resident or lazy) preference segments.
     pub fn users(&self) -> &[UserId] {
         &self.layout.users
@@ -804,11 +763,6 @@ impl Substrate {
     /// Number of items per preference segment.
     pub fn num_items(&self) -> usize {
         self.layout.m
-    }
-
-    /// Number of indexed periods.
-    pub fn num_periods(&self) -> usize {
-        self.affinity.period_pairs.len()
     }
 
     /// The resident score representation.
@@ -872,9 +826,6 @@ impl Substrate {
     ///   columns plus the per-list dequant table for
     ///   [`ScoreCompression::Quantized`] (6 B/item + table). Lazy slots
     ///   contribute 0 until materialized.
-    /// * `affinity_bytes` — the population pair arrays (static +
-    ///   per-period sorted columns and rank inverses); quadratic in the
-    ///   population cohort, shared wholesale across epochs.
     /// * `lazy_bytes` — the materialization cache: dense columns built
     ///   on demand for lazy users and dequantized buffers for quantized
     ///   segments. This is the only layer with *budgeted eviction*:
@@ -892,20 +843,9 @@ impl Substrate {
             + layout.user_pos.len() * size_of::<Option<u32>>()
             + layout.items.len() * size_of::<ItemId>()
             + layout.item_dense.len() * size_of::<u32>();
-        let aff = &self.affinity;
-        let pair_cols = |pairs: &[u32], values: &[f64]| {
-            std::mem::size_of_val(pairs) + std::mem::size_of_val(values)
-        };
-        let mut affinity_bytes = aff.pop_pos.len() * size_of::<Option<u32>>()
-            + pair_cols(&aff.static_pairs, &aff.static_values);
-        for p in 0..aff.period_pairs.len() {
-            affinity_bytes += pair_cols(&aff.period_pairs[p], &aff.period_values[p])
-                + aff.period_rank[p].len() * size_of::<u32>();
-        }
         MemoryFootprint {
             universe_bytes,
             pref_bytes: self.pref_bytes(),
-            affinity_bytes,
             lazy_bytes: self.lazy.stats().resident_bytes,
         }
     }
@@ -928,39 +868,6 @@ impl Substrate {
             .members()
             .iter()
             .all(|&u| self.user_index(u).is_some())
-    }
-
-    /// Population pair index of `(u, v)` (triangular over the population
-    /// universe — the id space of the affinity arrays).
-    pub fn population_pair_of(&self, u: UserId, v: UserId) -> Option<usize> {
-        if u == v {
-            return None;
-        }
-        let aff = &self.affinity;
-        let pu = aff.pop_pos.get(u.idx()).copied().flatten()?;
-        let pv = aff.pop_pos.get(v.idx()).copied().flatten()?;
-        let (a, b) = (pu.min(pv) as usize, pu.max(pv) as usize);
-        Some(a * aff.pop_n - a * (a + 1) / 2 + (b - a - 1))
-    }
-
-    /// Whether this substrate was built from exactly this population
-    /// index: same universe, same pair space, same period count. The
-    /// invariant
-    /// [`GrecaEngine::with_substrate`](crate::query::GrecaEngine::with_substrate)
-    /// enforces — a substrate answering for a *different* index would
-    /// silently rank by the wrong affinity arrays. (The substrate's
-    /// *user coverage* may exceed the universe; only the affinity pair
-    /// space must match.)
-    pub fn is_compatible_with(&self, population: &PopulationAffinity) -> bool {
-        let universe = population.universe();
-        let aff = &self.affinity;
-        aff.pop_n == universe.len()
-            && aff.static_pairs.len() == population.num_pairs()
-            && aff.period_pairs.len() == population.num_periods()
-            && universe
-                .iter()
-                .enumerate()
-                .all(|(pos, u)| aff.pop_pos.get(u.idx()).copied().flatten() == Some(pos as u32))
     }
 
     /// How `items` relates to the universe, or `None` when the substrate
@@ -1109,83 +1016,6 @@ impl Substrate {
     ) -> SortedList {
         self.filtered_pref_list(handle, 0, mask, len)
     }
-
-    /// Population-wide static affinity as one descending view. Entry ids
-    /// are **population** pair indices (unlike per-query lists, whose ids
-    /// are group pair indices).
-    pub fn static_view(&self) -> ListView<'_> {
-        ListView::new(
-            ListKind::StaticAffinity,
-            &self.affinity.static_pairs,
-            &self.affinity.static_values,
-        )
-    }
-
-    /// Population-wide periodic affinity of one period as a descending
-    /// view (entry ids are population pair indices).
-    pub fn period_view(&self, p_idx: usize) -> ListView<'_> {
-        ListView::new(
-            ListKind::PeriodicAffinity {
-                period: p_idx as u32,
-            },
-            &self.affinity.period_pairs[p_idx],
-            &self.affinity.period_values[p_idx],
-        )
-    }
-
-    /// Order `(group pair id, population pair id)` tuples by the given
-    /// period's precomputed rank.
-    ///
-    /// Both the population order and a per-group sort order lists by
-    /// (component descending, pair id ascending), and restricting the
-    /// population's triangular id order to a group preserves the group's
-    /// triangular order — so the result is *identical* to sorting the
-    /// group's component values, without touching a float.
-    pub fn order_pairs_by_period_rank(&self, p_idx: usize, pairs: &mut [(u32, usize)]) {
-        let rank = &self.affinity.period_rank[p_idx];
-        pairs.sort_by_key(|&(_, pop_pair)| rank[pop_pair]);
-    }
-}
-
-/// Snapshot the population index into sorted pair arrays (+ rank
-/// inverses), validating finiteness.
-fn affinity_arrays(population: &PopulationAffinity) -> Result<AffinityArrays, QueryError> {
-    let universe = population.universe();
-    let max_pop = universe.last().map_or(0, |u| u.idx());
-    let mut pop_pos = vec![None; max_pop + 1];
-    for (pos, &u) in universe.iter().enumerate() {
-        pop_pos[u.idx()] = Some(pos as u32);
-    }
-
-    let (static_pairs, static_values) = population.static_sorted_desc();
-    reject_non_finite(ListKind::StaticAffinity, &static_pairs, &static_values)?;
-    let mut period_pairs = Vec::with_capacity(population.num_periods());
-    let mut period_values = Vec::with_capacity(population.num_periods());
-    let mut period_rank = Vec::with_capacity(population.num_periods());
-    for p in 0..population.num_periods() {
-        let (pairs, values) = population.period_sorted_desc(p);
-        reject_non_finite(
-            ListKind::PeriodicAffinity { period: p as u32 },
-            &pairs,
-            &values,
-        )?;
-        let mut rank = vec![0u32; pairs.len()];
-        for (pos, &pair) in pairs.iter().enumerate() {
-            rank[pair as usize] = pos as u32;
-        }
-        period_pairs.push(pairs);
-        period_values.push(values);
-        period_rank.push(rank);
-    }
-    Ok(AffinityArrays {
-        pop_pos,
-        pop_n: universe.len(),
-        static_pairs,
-        static_values,
-        period_pairs,
-        period_values,
-        period_rank,
-    })
 }
 
 /// Reusable per-worker scratch for segment construction: one provider
@@ -1384,21 +1214,6 @@ fn build_segments_sharded(
         out.extend(r?);
     }
     Ok(out)
-}
-
-/// Reject a non-finite value in a population-level sorted array — the
-/// ingestion-time counterpart of the cold path's per-query
-/// `SortedList::new` validation. Without it a warm engine would compute
-/// silently wrong bounds from a NaN the cold path turns into a typed
-/// error (debug builds catch this earlier via the affinity sources'
-/// `debug_assert`s; this is the release-build guarantee).
-fn reject_non_finite(kind: ListKind, pairs: &[u32], values: &[f64]) -> Result<(), QueryError> {
-    for (&id, &value) in pairs.iter().zip(values) {
-        if !value.is_finite() {
-            return Err(QueryError::from(NonFiniteEntry { kind, id, value }));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1629,9 +1444,6 @@ mod tests {
         assert_eq!(sub.users(), &[UserId(0), UserId(3)]);
         let h = sub.segment_handle(&raw, 1).unwrap();
         assert_eq!(h.view(0).ids, &[1, 2, 0, 3]);
-        // Affinity pair space still follows the population.
-        assert!(sub.is_compatible_with(&pop));
-        assert_eq!(sub.population_pair_of(UserId(0), UserId(3)), None);
     }
 
     #[test]
@@ -1674,32 +1486,6 @@ mod tests {
     }
 
     #[test]
-    fn population_views_are_descending_and_ranked() {
-        let (matrix, pop, _tl) = world();
-        let raw = RawRatings(&matrix);
-        let items: Vec<ItemId> = matrix.items().collect();
-        let sub = Substrate::build(&raw, &pop, &items).unwrap();
-        let sv = sub.static_view();
-        assert_eq!(sv.len(), 3);
-        for w in sv.scores.windows(2) {
-            assert!(w[0] >= w[1]);
-        }
-        assert_eq!(sub.num_periods(), 2);
-        for p in 0..2 {
-            let pv = sub.period_view(p);
-            for w in pv.scores.windows(2) {
-                assert!(w[0] >= w[1]);
-            }
-        }
-        // Rank ordering of all three pairs reproduces the period view's
-        // pair order.
-        let mut pairs: Vec<(u32, usize)> = (0..3).map(|p| (p as u32, p)).collect();
-        sub.order_pairs_by_period_rank(0, &mut pairs);
-        let got: Vec<u32> = pairs.iter().map(|&(_, pop_pair)| pop_pair as u32).collect();
-        assert_eq!(got, sub.period_view(0).ids);
-    }
-
-    #[test]
     fn memory_footprint_accounts_every_layer() {
         let (matrix, pop, _tl) = world();
         let raw = RawRatings(&matrix);
@@ -1710,36 +1496,14 @@ mod tests {
         // 3 users × 4 items × (u32 id + f64 score).
         assert_eq!(fp.pref_bytes, 3 * 4 * 12);
         assert!(fp.universe_bytes > 0, "layout maps counted");
-        assert!(fp.affinity_bytes > 0, "affinity arrays counted");
         assert_eq!(fp.lazy_bytes, 0, "no on-demand materializations yet");
         assert_eq!(
             fp.total(),
-            fp.universe_bytes + fp.pref_bytes + fp.affinity_bytes + fp.lazy_bytes
+            fp.universe_bytes + fp.pref_bytes + fp.lazy_bytes
         );
         let json = fp.to_json();
         assert!(json.contains("\"total_bytes\"") && json.contains("\"pref_bytes\""));
         assert!(json.contains("\"lazy_bytes\""));
-    }
-
-    #[test]
-    fn compatibility_rejects_foreign_population() {
-        let (matrix, pop, _tl) = world();
-        let raw = RawRatings(&matrix);
-        let items: Vec<ItemId> = matrix.items().collect();
-        let sub = Substrate::build(&raw, &pop, &items).unwrap();
-        assert!(sub.is_compatible_with(&pop));
-        // A static-only index over the same users: different period
-        // count → incompatible.
-        let mut src = TableAffinitySource::new();
-        src.set_static(UserId(0), UserId(1), 0.5);
-        let other = PopulationAffinity::new_static_only(&src, &[UserId(0), UserId(1), UserId(2)]);
-        assert!(!sub.is_compatible_with(&other));
-        // A different universe → incompatible.
-        let wider = PopulationAffinity::new_static_only(
-            &src,
-            &[UserId(0), UserId(1), UserId(2), UserId(7)],
-        );
-        assert!(!sub.is_compatible_with(&wider));
     }
 
     #[test]
@@ -1769,7 +1533,6 @@ mod tests {
         // Clean users: the same allocations, not copies.
         assert!(sub.shares_segment_with(&next, UserId(0)));
         assert!(sub.shares_segment_with(&next, UserId(2)));
-        assert!(sub.shares_affinity_with(&next));
         // The old epoch still serves its original view.
         assert_eq!(sub.pref_view(1, 1).ids, &[1, 0, 2, 3]);
         // The rebuilt substrate equals a cold build from the new matrix.
@@ -1830,7 +1593,5 @@ mod tests {
         assert!(sub.covers_group(&g));
         let g2 = Group::new(vec![UserId(0), UserId(1)]).unwrap();
         assert!(!sub.covers_group(&g2));
-        // Population pair indexing still spans the full universe.
-        assert_eq!(sub.population_pair_of(UserId(0), UserId(2)), Some(1));
     }
 }

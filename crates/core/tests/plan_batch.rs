@@ -4,7 +4,8 @@
 //! shared member-state arena, overlap-bucketed scheduling — must change
 //! *nothing* observable: a planned wave's per-query results (itemsets,
 //! `[LB, UB]` envelopes, access counts, sweeps, stop reasons) and its
-//! summed batch statistics must equal the independent path's exactly,
+//! summed batch statistics must equal per-query `GroupQuery::run`
+//! exactly,
 //! on every storage path the planner can route through (cold, warm
 //! full-universe, warm subset-filtered, warm-with-cold-fallback) and
 //! for waves mixing engines. Identity is asserted with full
@@ -13,7 +14,7 @@
 
 use greca_affinity::{PopulationAffinity, TableAffinitySource};
 use greca_cf::RawRatings;
-use greca_core::{run_batch_with, GrecaEngine, GroupQuery, PlanOptions, SharedMemberState};
+use greca_core::{run_batch, AccessStats, GrecaEngine, GroupQuery, SharedMemberState};
 use greca_dataset::{
     Granularity, Group, ItemId, RatingMatrix, RatingMatrixBuilder, Timeline, UserId,
 };
@@ -80,17 +81,22 @@ fn disjoint_groups() -> Vec<Group> {
         .collect()
 }
 
-/// Run `queries` planner-off and planner-on and assert full equality of
-/// per-query results and summed stats; returns the planner-on result.
+/// Run `queries` one by one and as a planned wave and assert full
+/// equality of per-query results and summed stats; returns the wave.
 fn assert_wave_identical(queries: &[GroupQuery<'_>]) -> greca_core::BatchResult {
-    let off = run_batch_with(queries, &PlanOptions { enabled: false });
-    let on = run_batch_with(queries, &PlanOptions { enabled: true });
+    let solo: Vec<_> = queries.iter().map(GroupQuery::run).collect();
+    let on = run_batch(queries);
     assert_eq!(
-        off.results, on.results,
+        solo, on.results,
         "planned wave drifted from independent execution"
     );
-    assert_eq!(off.stats, on.stats, "summed access stats must match");
-    assert!(off.plan.is_none(), "disabled planner must skip analysis");
+    let mut stats = AccessStats::default();
+    for r in solo.iter().flatten() {
+        stats.sa += r.stats.sa;
+        stats.ra += r.stats.ra;
+        stats.total_entries += r.stats.total_entries;
+    }
+    assert_eq!(stats, on.stats, "summed access stats must match");
     on
 }
 

@@ -99,7 +99,7 @@ pub struct CacheStats {
     pub capacity_flushes: AtomicU64,
     /// Selective invalidations applied ([`ResultCache::apply_publish`]
     /// calls that kept the map, possibly emptied).
-    pub selective_invalidations: AtomicU64,
+    pub selective_publishes: AtomicU64,
     /// Entries re-stamped and kept across epoch swaps (footprint
     /// disjoint from the dirty set).
     pub survivors: AtomicU64,
@@ -302,7 +302,7 @@ impl ResultCache {
         let kept = state.map.len();
         drop(state);
         self.stats
-            .selective_invalidations
+            .selective_publishes
             .fetch_add(1, Ordering::Relaxed);
         self.stats
             .survivors
@@ -707,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn selective_invalidation_keeps_disjoint_entries() {
+    fn apply_publish_keeps_disjoint_entries() {
         let cache = ResultCache::new(64);
         let _ = cache.get_or_compute(0, key_for(1), || Ok(fake_result(1)));
         let _ = cache.get_or_compute(0, key_for(2), || Ok(fake_result(2)));

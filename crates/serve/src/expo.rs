@@ -186,9 +186,9 @@ fn render_cache(out: &mut String, cache: &CacheStats) {
             &cache.invalidations,
         ),
         (
-            "greca_cache_selective_invalidations_total",
-            "Selective invalidations applied on publish.",
-            &cache.selective_invalidations,
+            "greca_cache_selective_publishes_total",
+            "Publishes applied to the cache selectively (not full rebuilds).",
+            &cache.selective_publishes,
         ),
         (
             "greca_cache_survivors_total",

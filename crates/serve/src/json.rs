@@ -1,6 +1,6 @@
 //! A minimal JSON value, parser and writer over `std` only.
 //!
-//! The workspace's vendored `serde` is a marker-trait stub (see
+//! The workspace has no serialization dependency (see
 //! `vendor/README.md`), so the wire layer carries its own ~200-line
 //! JSON implementation. Scope is exactly what the line protocol needs:
 //!

@@ -106,10 +106,6 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Metrics,
     cache: ResultCache,
-    /// Whether publishes invalidate the cache selectively (footprint
-    /// survival) or wholesale (the pre-dirty-set behavior, kept as a
-    /// benchmark baseline) — [`ServeConfig::selective_invalidation`].
-    selective: bool,
     /// The batch planner's member-state arena for the current epoch:
     /// concurrent cache-miss queries resolve each member's preference
     /// list once per epoch instead of once per query. Swapped (not
@@ -197,7 +193,6 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             shutdown: AtomicBool::new(false),
             metrics: Metrics::default(),
             cache: ResultCache::new(config.cache_capacity),
-            selective: config.selective_invalidation,
             plan_state: Mutex::new((live.epoch(), Arc::new(SharedMemberState::new()))),
             subs: Mutex::new(HashMap::new()),
             next_sub: AtomicU64::new(1),
@@ -216,10 +211,9 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
         obs::recorder().set_slow_threshold(Duration::from_millis(config.slow_query_ms));
         // The epoch-handoff integration: one hook, registered once,
         // applies the publish's dirty set to the cache (selective
-        // survival — or wholesale when configured as the baseline) and
-        // queues the delta for the subscription pump. The hook holds
-        // only the shared state, so it stays valid (and harmless) after
-        // the server itself is gone.
+        // survival) and queues the delta for the subscription pump. The
+        // hook holds only the shared state, so it stays valid (and
+        // harmless) after the server itself is gone.
         shared.cache.invalidate_to(live.epoch());
         let hook_shared = Arc::clone(&shared);
         live.on_publish_delta(move |delta| {
@@ -230,11 +224,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             let survival = obs::phase(Phase::Survival);
             let kept_before = hook_shared.cache.stats.survivors.load(Ordering::Relaxed);
             let dropped_before = hook_shared.cache.stats.dropped.load(Ordering::Relaxed);
-            if hook_shared.selective {
-                hook_shared.cache.apply_publish(delta);
-            } else {
-                hook_shared.cache.invalidate_to(delta.epoch);
-            }
+            hook_shared.cache.apply_publish(delta);
             let kept = hook_shared.cache.stats.survivors.load(Ordering::Relaxed) - kept_before;
             let dropped = hook_shared.cache.stats.dropped.load(Ordering::Relaxed) - dropped_before;
             drop(survival);
@@ -847,9 +837,12 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                 // registration one unconditionally (it is a property of
                 // the query, not of an epoch); the baseline result only
                 // lands if the pump hasn't already delivered a newer
-                // epoch in the registration window.
+                // epoch in the registration window. A subscription made
+                // at epoch 0 has nothing recorded yet and must still
+                // take its baseline, or the first pump pass would push
+                // an unchanged answer.
                 st.footprint = footprint;
-                if epoch > st.epoch {
+                if epoch > st.epoch || st.result.is_none() {
                     st.epoch = epoch;
                     st.result = Some(Arc::clone(&top));
                 }
@@ -1382,10 +1375,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                     ("coalesced", load(&stats.coalesced)),
                     ("bypasses", load(&stats.bypasses)),
                     ("invalidations", load(&stats.invalidations)),
-                    (
-                        "selective_invalidations",
-                        load(&stats.selective_invalidations),
-                    ),
+                    ("selective_publishes", load(&stats.selective_publishes)),
                     ("survivors", load(&stats.survivors)),
                     ("dropped", load(&stats.dropped)),
                     ("survival_rate", Json::num(stats.survival_rate())),
@@ -1627,7 +1617,6 @@ fn memory_json(fp: greca_core::MemoryFootprint) -> Json {
     Json::obj(vec![
         ("universe_bytes", Json::num(fp.universe_bytes as f64)),
         ("pref_bytes", Json::num(fp.pref_bytes as f64)),
-        ("affinity_bytes", Json::num(fp.affinity_bytes as f64)),
         ("lazy_bytes", Json::num(fp.lazy_bytes as f64)),
         ("total_bytes", Json::num(fp.total() as f64)),
     ])

@@ -292,7 +292,7 @@ fn publish_invalidates_cache_and_never_serves_a_stale_epoch() {
         let stats = &server.cache().stats;
         assert!(
             stats
-                .selective_invalidations
+                .selective_publishes
                 .load(std::sync::atomic::Ordering::Relaxed)
                 >= 1
         );

@@ -328,7 +328,11 @@ fn failed_push_writes_retire_the_subscription() {
         s.spawn(|| server.run());
         let mut client = Client::connect(handle.addr()).unwrap();
 
-        let sub = client.subscribe(&[0, 1], None, Some(3)).unwrap();
+        // An explicit itemset holding item 0, so the rating below moves
+        // the answer (over the default candidate set it could not:
+        // member 0 has rated item 0 already) and the push is real.
+        let feed: Vec<u32> = (0..6).collect();
+        let sub = client.subscribe(&[0, 1], Some(&feed), Some(3)).unwrap();
         assert_eq!(ok_of(&sub), Some(true), "{sub:?}");
 
         // Publish straight through the engine (not a client request, so

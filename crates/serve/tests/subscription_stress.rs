@@ -344,3 +344,63 @@ fn subscriptions_hot_queries_and_publishes_race() {
         );
     }
 }
+
+/// A subscription made at epoch 0 records its baseline: a publish that
+/// re-runs it without changing its answer pushes nothing.
+#[test]
+fn epoch_zero_subscription_pushes_only_changed_answers() {
+    let (matrix, pop, items) = world();
+    let live = LiveEngine::new(&pop, LiveModel::Raw, &matrix, &items).unwrap();
+    assert_eq!(live.epoch(), 0, "fresh engines start at epoch 0");
+    let server = GrecaServer::bind(&live, ServeConfig::default()).unwrap();
+    let handle = server.handle();
+    let feed: Vec<u32> = (0..10).collect();
+    let mut frames = Vec::new();
+    std::thread::scope(|s| {
+        let _shutdown = ShutdownOnDrop(server.handle());
+        s.spawn(|| server.run());
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let baseline = client.subscribe(&[0, 1, 2], Some(&feed), Some(5)).unwrap();
+        assert_eq!(baseline.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(epoch_of(&baseline), 0);
+
+        // Member 0 rates an item outside the subscribed itemset: the
+        // publish dirties the subscription's footprint (so the pump
+        // re-runs it) but cannot move its answer.
+        let mut control = Client::connect(handle.addr()).unwrap();
+        let reply = control.ingest(&[(0, ITEMS - 1, 5.0, 1)]).unwrap();
+        assert_eq!(reply.get("epoch").and_then(Json::as_u64), Some(1));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = control.stats().unwrap();
+            let runs = stats
+                .get("subscriptions")
+                .and_then(|s| s.get("sub_runs"))
+                .and_then(Json::as_u64)
+                .unwrap_or(0);
+            if runs >= 1 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the pump never re-ran"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        // Shutdown drains the pump and flushes every pending push
+        // before the socket closes, so this collects all of them.
+        handle.shutdown();
+        loop {
+            match client.poll_push(Duration::from_millis(100)) {
+                Ok(Some(frame)) => frames.push(epoch_of(&frame)),
+                Ok(None) => continue,
+                Err(_) => break,
+            }
+        }
+    });
+    assert!(
+        frames.is_empty(),
+        "an unchanged answer was pushed at epochs {frames:?}"
+    );
+}

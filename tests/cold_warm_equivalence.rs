@@ -1,9 +1,9 @@
 //! Cold-vs-warm serving equivalence on real CF inputs.
 //!
 //! A warm [`GrecaEngine`] answers from the precomputed `Substrate`
-//! (zero-copy preference views, rank-ordered affinity lists, cached
-//! group-affinity views); a cold engine materializes every query from
-//! scratch. The contract: **bit-identical results** — same itemsets,
+//! (zero-copy preference views, cached group-affinity views); a cold
+//! engine materializes every preference list from scratch. Both build
+//! the group's affinity lists the same way. The contract: **bit-identical results** — same itemsets,
 //! same bounds, same access statistics — across affinity modes,
 //! consensus functions and list layouts, for full-universe, subset,
 //! shuffled and defaulted itemsets, solo or batched.
